@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: all build test race race-sim node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-sim bench-serve bench-compare scale-bench fuzz fuzz-short prop graph-prop check examples experiments clean
+.PHONY: all build test race race-sim stress node-smoke overlay-smoke serve-smoke rolling-restart chaos-soak async-soak cover bench bench-sim bench-serve bench-compare scale-bench fuzz fuzz-short prop graph-prop check examples experiments clean
 
 all: build test race-sim node-smoke overlay-smoke serve-smoke chaos-soak rolling-restart
 
@@ -24,6 +24,13 @@ race:
 # which serve-smoke covers from the outside.
 race-sim:
 	$(GO) test -race -short ./internal/sim/... ./internal/transport/... ./internal/session/...
+
+# Race stress: the link, session, overlay and journal suites ten times over
+# under the race detector, so host-sensitive races (teardown ordering, the
+# journal's ticket/counter ordering) show up on every check rather than on
+# one run in twenty.
+stress:
+	$(GO) test -race -short -count=10 ./internal/session/ ./internal/transport/ ./internal/overlay/ ./internal/journal/
 
 # Multi-process smoke: spawn real cmd/node processes on loopback ports (an
 # honest 3-node path cluster, then a 7-party splitvote deployment with the
@@ -53,13 +60,12 @@ serve-smoke:
 	$(GO) run ./cmd/serve -cluster 3 -sessions 100 -tree spider:3:3
 	@set -e; \
 	$(GO) run ./cmd/serve -cluster 3 -sessions 100 -tree spider:3:3 \
-		-journal-dir "$$(mktemp -d)" -metrics 127.0.0.1:9309 -overlay tree:2 -linger 8s & pid=$$!; \
+		-journal-dir "$$(mktemp -d)" -metrics 127.0.0.1:9309 -linger 8s & pid=$$!; \
 	ok=0; for i in $$(seq 1 60); do \
 		if curl -sf http://127.0.0.1:9309/healthz 2>/dev/null | grep -q ok; then ok=1; break; fi; \
 		sleep 0.25; done; \
 	if [ $$ok -ne 1 ]; then echo "serve-smoke: /healthz never became ready" >&2; kill $$pid 2>/dev/null; exit 1; fi; \
-	for fam in treeaa_sessions_decided_total treeaa_journal_appends_total \
-			treeaa_overlay_relayed_total treeaa_overlay_failovers_total treeaa_overlay_branching; do \
+	for fam in treeaa_sessions_decided_total treeaa_journal_appends_total; do \
 		if ! curl -sf http://127.0.0.1:9309/metrics | grep -q "^$$fam"; then \
 			echo "serve-smoke: /metrics missing $$fam" >&2; kill $$pid 2>/dev/null; exit 1; fi; done; \
 	wait $$pid; \
@@ -176,10 +182,11 @@ graph-prop:
 	$(GO) test -race -count=1 -run Graph ./internal/check/ ./internal/session/
 	$(GO) run ./cmd/check -budget 175 -seeds 1-3 -space graph
 
-# Tier-1-adjacent gate: build + vet + tests, a quick serve-bench cell (the
-# serving layer under real closed-loop load, oracle-checked), then the
-# property (tree and graph), short fuzz and async-soak passes.
-check: build test bench-serve-smoke prop graph-prop fuzz-short async-soak
+# Tier-1-adjacent gate: build + vet + tests, the race stress pass, a quick
+# serve-bench cell (the serving layer under real closed-loop load,
+# oracle-checked), then the property (tree and graph), short fuzz and
+# async-soak passes.
+check: build test stress bench-serve-smoke prop graph-prop fuzz-short async-soak
 
 # One fast serve-bench cell as a smoke: small cluster, short window; fails
 # on any oracle mismatch or client error.

@@ -11,11 +11,7 @@
 //
 //	serve -id 0 -peers peers.txt -client 127.0.0.1:7000
 //
-// Clients then submit to any daemon via internal/session.DialClient. The
-// pre-binary JSON protocol is still served when every daemon runs with
-// -json-api (clients use DialJSONClient):
-//
-//	serve -id 0 -peers peers.txt -json-api
+// Clients then submit to any daemon via internal/session.DialClient.
 //
 // The -cluster mode is a self-contained smoke test: it starts the whole
 // deployment in-process on loopback, drives -sessions concurrent sessions
@@ -30,9 +26,9 @@
 // silence). The mode joins the cluster identity hash, so every daemon of a
 // deployment must agree on it. Asynchronous decisions depend on delivery
 // order, so the async smoke judges validity and 1-agreement instead of
-// oracle byte-identity; -journal-dir, -overlay and -rolling are refused,
-// their recovery and relay machinery being built on the lock-step rounds
-// async mode abolishes:
+// oracle byte-identity; -journal-dir and -rolling are refused, their
+// recovery machinery being built on the lock-step rounds async mode
+// abolishes:
 //
 //	serve -cluster 3 -mode async -sessions 100 -tree spider:3:3
 //
@@ -79,7 +75,6 @@ import (
 	"treeaa/internal/journal"
 	"treeaa/internal/metrics"
 	"treeaa/internal/obs"
-	"treeaa/internal/overlay"
 	"treeaa/internal/session"
 	"treeaa/internal/sim"
 	"treeaa/internal/tree"
@@ -106,11 +101,9 @@ func main() {
 		drainTO    = flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown drain budget")
 		shards     = flag.Int("shards", 0, "engine-pool width (0 = one per core, capped at 16)")
 		flushOcc   = flag.Int("flush-occupancy", 0, "frames that cut a coalescing flush short (0 = default 32)")
-		jsonAPI    = flag.Bool("json-api", false, "serve the legacy length-prefixed JSON client API instead of the binary protocol")
 		journalDir = flag.String("journal-dir", "", "enable the write-ahead session journal under this directory (per-daemon subdirs)")
 		journalLvl = flag.String("journal-level", "full", "journal capture level: full (replayable frames) or sealed (admissions+seals only, lower overhead)")
 		metricsAt  = flag.String("metrics", "", "serve /metrics and /healthz on this address (e.g. 127.0.0.1:9090)")
-		overlayAt  = flag.String("overlay", "", "communication-tree fabric spec (tree or tree:<branching>): joins the cluster hash and exports the overlay metric families")
 		sessionLog = flag.String("session-log", "", "write per-session JSON lifecycle logs to this file ('-' = stderr)")
 		linger     = flag.Duration("linger", 0, "cluster mode: keep the cluster and metrics endpoint up this long after the smoke")
 		rolling    = flag.Bool("rolling", false, "cluster mode: rolling-restart smoke — restart each daemon in turn under load")
@@ -132,15 +125,9 @@ func main() {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
 	}
-	if err := checkMode(*mode, *journalDir, *overlayAt, *rolling); err != nil {
+	if err := checkMode(*mode, *journalDir, *rolling); err != nil {
 		fmt.Fprintln(os.Stderr, "serve:", err)
 		os.Exit(1)
-	}
-	if *overlayAt != "" {
-		if _, err := overlay.ParseSpec(*overlayAt); err != nil {
-			fmt.Fprintln(os.Stderr, "serve:", err)
-			os.Exit(1)
-		}
 	}
 
 	opts := session.Options{
@@ -148,10 +135,9 @@ func main() {
 		FlushInterval: *flushEvery, MaxBatchBytes: *batchBytes,
 		DefaultTTL: *defaultTTL, SetupTimeout: *setupTO,
 		RoundTimeout: *roundTO, DrainTimeout: *drainTO,
-		Shards: *shards, FlushOccupancy: *flushOcc, JSONClientAPI: *jsonAPI,
+		Shards: *shards, FlushOccupancy: *flushOcc,
 		JournalDir: *journalDir, JournalLevel: jlevel,
 		Stats: &metrics.ServeStats{}, JournalStats: &journal.Stats{},
-		OverlaySpec: *overlayAt, OverlayStats: &metrics.OverlayStats{},
 		Async: *mode == "async",
 	}
 	var logClose func() error
@@ -178,7 +164,7 @@ func main() {
 
 // checkMode validates -mode and refuses the flag combinations whose
 // machinery is built on the lock-step round structure async mode abolishes.
-func checkMode(mode, journalDir, overlaySpec string, rolling bool) error {
+func checkMode(mode, journalDir string, rolling bool) error {
 	switch mode {
 	case "sync":
 		return nil
@@ -189,10 +175,6 @@ func checkMode(mode, journalDir, overlaySpec string, rolling bool) error {
 	if journalDir != "" {
 		return fmt.Errorf("-mode async: the journal's muted replay re-steps engines through " +
 			"lock-step rounds, which async mode does not have — drop -journal-dir or use -mode sync")
-	}
-	if overlaySpec != "" {
-		return fmt.Errorf("-mode async: the tree overlay relays round-batched traffic between " +
-			"eor barriers, which async mode does not have — drop -overlay or use -mode sync")
 	}
 	if rolling {
 		return fmt.Errorf("-mode async: the rolling-restart smoke needs the journal, " +
@@ -217,9 +199,8 @@ func sessionLogger(path string) (*slog.Logger, func() error, error) {
 }
 
 // serveObs binds the observability endpoint, if requested. ready is the
-// /healthz probe, n the deployment's daemon count (it shapes the overlay
-// gauges); the returned closer is a no-op when -metrics is unset.
-func serveObs(addr string, id, n int, opts session.Options, ready func() error) (func(), error) {
+// /healthz probe; the returned closer is a no-op when -metrics is unset.
+func serveObs(addr string, id int, opts session.Options, ready func() error) (func(), error) {
 	if addr == "" {
 		return func() {}, nil
 	}
@@ -227,26 +208,12 @@ func serveObs(addr string, id, n int, opts session.Options, ready func() error) 
 	if opts.JournalDir == "" {
 		jstats = nil // no journal, no treeaa_journal_* families
 	}
-	oopts := obs.Options{
+	srv, err := obs.Serve(addr, obs.Options{
 		DaemonID: id,
 		Serve:    opts.Stats,
 		Journal:  jstats,
 		Ready:    ready,
-	}
-	if opts.OverlaySpec != "" {
-		branching, err := overlay.ParseSpec(opts.OverlaySpec)
-		if err != nil {
-			return nil, err
-		}
-		lay, err := overlay.NewLayout(n, branching)
-		if err != nil {
-			return nil, fmt.Errorf("-overlay: %w", err)
-		}
-		oopts.Overlay = opts.OverlayStats
-		oopts.OverlayDepth = lay.Depth()
-		oopts.OverlayBranching = lay.Branching
-	}
-	srv, err := obs.Serve(addr, oopts)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -267,7 +234,7 @@ func runSeat(ctx context.Context, id int, peersFile, clientAddr, metricsAt strin
 	if err != nil {
 		return err
 	}
-	closeObs, err := serveObs(metricsAt, id, len(addrs), opts, d.Health)
+	closeObs, err := serveObs(metricsAt, id, opts, d.Health)
 	if err != nil {
 		return err
 	}
@@ -366,7 +333,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 		return err
 	}
 	defer c.Stop()
-	closeObs, err := serveObs(metricsAt, 0, n, opts, clusterHealth(c, n))
+	closeObs, err := serveObs(metricsAt, 0, opts, clusterHealth(c, n))
 	if err != nil {
 		return err
 	}
@@ -396,11 +363,7 @@ func runSmoke(ctx context.Context, n, sessions int, spaceSpec, treeSpec string, 
 				mu.Unlock()
 			}
 			s := specFor(i)
-			dial := session.DialClient
-			if opts.JSONClientAPI {
-				dial = session.DialJSONClient
-			}
-			cl, err := dial(c.ClientAddr(i%n), opts.SetupTimeout)
+			cl, err := session.DialClient(c.ClientAddr(i%n), opts.SetupTimeout)
 			if err != nil {
 				fail("dial: %v", err)
 				return
@@ -505,7 +468,7 @@ func runRolling(ctx context.Context, n, workers int, spaceSpec, treeSpec string,
 		return err
 	}
 	defer c.Stop()
-	closeObs, err := serveObs(metricsAt, 0, n, opts, clusterHealth(c, n))
+	closeObs, err := serveObs(metricsAt, 0, opts, clusterHealth(c, n))
 	if err != nil {
 		return err
 	}

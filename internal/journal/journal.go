@@ -27,11 +27,17 @@
 // the lock released, one pass per SyncInterval plus an immediate pass per
 // Commit (group commit, the same batching philosophy as the serving mux's
 // flush tick). Append is fire-and-forget (inbound frames are re-creatable
-// noise until a session decides); Commit returns a ticket channel that
-// closes once the record — and, because the log is ordered, everything
-// appended before it — is durable. The serving layer acks a decided
-// session to its client only after the seal's ticket resolves, so
+// noise until a session decides); Commit returns a ticket that reports the
+// verdict of the pass carrying the record: nil once the record — and,
+// because the log is ordered, everything appended before it — is durable,
+// the write or fdatasync error otherwise. The serving layer acks a decided
+// session to its client only after the seal's ticket reports nil, so
 // "decided" survives kill -9 by construction.
+//
+// A failed pass makes the writer fail-stop: the error is sticky, every
+// later Append and Commit returns it, and fsync is never retried on the
+// same file — after a failed fdatasync the kernel may already have dropped
+// the dirty pages, so a retry that succeeds would prove nothing.
 //
 // Segments are preallocated (fallocate) and synced with fdatasync where
 // the platform has them: with the file size fixed up front, a group-commit
@@ -136,11 +142,11 @@ type Writer struct {
 	stats *Stats
 
 	mu      sync.Mutex
-	buf     []byte          // encoded records awaiting the next sync pass
-	ends    []int           // cumulative record end offsets into buf
-	scratch []byte          // encode workspace, reused across appends
-	tickets []chan struct{} // closed by the pass that makes their records durable
-	err     error           // sticky: first write/sync failure fails every later call
+	buf     []byte       // encoded records awaiting the next sync pass
+	ends    []int        // cumulative record end offsets into buf
+	scratch []byte       // encode workspace, reused across appends
+	tickets []chan error // each gets the verdict of the pass that carries its record
+	err     error        // sticky: first write/sync failure fails every later call
 
 	// syncMu serializes sync passes (the pacer, explicit Sync, Close,
 	// Abandon) and protects the file-side fields below.
@@ -219,19 +225,20 @@ func (w *Writer) Append(payload any) error {
 	return err
 }
 
-// Commit journals one record and returns a ticket channel that closes once
-// the record is on stable storage (along with everything appended before
-// it, by log order). On a write error the ticket still closes — callers
-// waiting on durability must check Err for the verdict.
-func (w *Writer) Commit(payload any) (<-chan struct{}, error) {
+// Commit journals one record and returns its ticket: a channel that
+// delivers exactly one value, nil once the record is on stable storage
+// (along with everything appended before it, by log order), or the error
+// of the pass that failed to get it there. A ticket has one reader; fan the
+// verdict out yourself. When Commit itself fails, the ticket already holds
+// the same error.
+func (w *Writer) Commit(payload any) (<-chan error, error) {
+	ticket := make(chan error, 1)
 	w.mu.Lock()
 	if err := w.appendLocked(payload); err != nil {
 		w.mu.Unlock()
-		closed := make(chan struct{})
-		close(closed)
-		return closed, err
+		ticket <- err
+		return ticket, err
 	}
-	ticket := make(chan struct{})
 	w.tickets = append(w.tickets, ticket)
 	w.mu.Unlock()
 	select {
@@ -280,7 +287,7 @@ func (w *Writer) setErrLocked(err error) error {
 }
 
 // Sync runs one group-commit pass: swap the batch out, write it, fsync,
-// release every outstanding Commit ticket.
+// and hand every outstanding Commit ticket the pass's verdict.
 func (w *Writer) Sync() error {
 	return w.sync()
 }
@@ -299,9 +306,7 @@ func (w *Writer) sync() error {
 	if w.err != nil {
 		err := w.err
 		w.mu.Unlock()
-		for _, t := range tickets {
-			close(t)
-		}
+		resolve(tickets, err)
 		return err
 	}
 	batch, ends := w.buf, w.ends
@@ -313,23 +318,31 @@ func (w *Writer) sync() error {
 	if err == nil && (len(batch) > 0 || len(tickets) > 0) {
 		err = datasync(w.f)
 	}
-	for _, t := range tickets {
-		close(t)
-	}
 	w.spare, w.spareEnd = batch[:0], ends[:0]
 	if err != nil {
 		w.stats.SyncErrors.Add(1)
 		w.mu.Lock()
 		err = w.setErrLocked(err)
 		w.mu.Unlock()
+		resolve(tickets, err)
 		return err
 	}
+	// Counters first: a ticket holder that reads them must see its own pass.
 	if len(batch) > 0 || len(tickets) > 0 {
 		w.stats.Syncs.Add(1)
 		w.stats.LastSyncNS.Store(time.Since(start).Nanoseconds())
 	}
 	w.stats.Depth.Add(int64(-len(ends)))
+	resolve(tickets, nil)
 	return nil
+}
+
+// resolve hands each ticket its pass's verdict; tickets are buffered, so
+// this never blocks.
+func resolve(tickets []chan error, err error) {
+	for _, t := range tickets {
+		t <- err
+	}
 }
 
 // writeBatch appends the batch to the current segment, rotating at record
@@ -402,12 +415,12 @@ func (w *Writer) syncLoop() {
 			}
 		case <-w.kick:
 		}
-		w.sync() // sticky error; ticket holders check Err
+		w.sync() // the verdict reaches the tickets; an error also sticks
 	}
 }
 
-// Err reports the writer's sticky error (nil while healthy). Commit ticket
-// holders consult it after their ticket closes.
+// Err reports the writer's sticky error (nil while healthy): after a failed
+// pass the writer is fail-stop.
 func (w *Writer) Err() error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -445,13 +458,12 @@ func (w *Writer) Abandon() {
 	if w.err == nil {
 		w.err = errors.New("journal: abandoned")
 	}
+	err := w.err
 	w.buf, w.ends = nil, nil // the unflushed tail dies here
 	tickets := w.tickets
 	w.tickets = nil
 	w.mu.Unlock()
-	for _, t := range tickets {
-		close(t)
-	}
+	resolve(tickets, err)
 	w.syncMu.Lock()
 	if w.f != nil {
 		w.f.Close()

@@ -169,6 +169,48 @@ func TestCommitTicketDurability(t *testing.T) {
 	w.Abandon()
 }
 
+// breakFile closes the segment handle under the writer, so its next pass
+// fails the way a lost device would.
+func (w *Writer) breakFile() {
+	w.syncMu.Lock()
+	w.f.Close()
+	w.syncMu.Unlock()
+}
+
+// TestCommitTicketReportsSyncFailure: a ticket carries its own pass's
+// verdict. When the write under it fails, the ticket reports the error
+// instead of resolving as durable, and the writer is fail-stop afterwards.
+func TestCommitTicketReportsSyncFailure(t *testing.T) {
+	w, err := Open(Options{Dir: t.TempDir(), SyncInterval: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Abandon()
+	w.breakFile()
+	ticket, err := w.Commit(wire.JournalSeal{SID: 7, State: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-ticket:
+		if err == nil {
+			t.Fatal("ticket reported durable over a broken file")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("commit ticket never resolved")
+	}
+	if w.stats.SyncErrors.Load() != 1 || w.stats.Syncs.Load() != 0 {
+		t.Fatalf("syncs=%d sync errors=%d, want 0 and 1", w.stats.Syncs.Load(), w.stats.SyncErrors.Load())
+	}
+	if w.Err() == nil {
+		t.Fatal("writer healthy after a failed pass")
+	}
+	later, err := w.Commit(wire.JournalSeal{SID: 8, State: 2})
+	if err == nil || <-later == nil {
+		t.Fatal("commit after a failed pass succeeded; want fail-stop")
+	}
+}
+
 func TestAbandonDropsUnsyncedTail(t *testing.T) {
 	dir := t.TempDir()
 	// Huge interval so the syncer never runs: all durability is explicit.

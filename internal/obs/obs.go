@@ -37,13 +37,6 @@ type Options struct {
 	// Chaos, when the process runs under fault injection, exports the
 	// injected-fault counters alongside the serving ones.
 	Chaos *metrics.ChaosStats
-	// Overlay, when the daemon routes protocol traffic over the
-	// communication tree, exports the relay fabric's counters.
-	Overlay *metrics.OverlayStats
-	// OverlayDepth and OverlayBranching describe the tree's shape; both are
-	// exported as gauges when Overlay is wired, so a dashboard can relate
-	// the relay counters to the topology that produced them.
-	OverlayDepth, OverlayBranching int
 	// Ready is the /healthz probe: nil error = 200 ok. A nil func reports
 	// ready unconditionally.
 	Ready func() error
@@ -96,23 +89,6 @@ func (o Options) collect() []sample {
 		add("treeaa_journal_last_sync_seconds", "Duration of the most recent fsync batch.", "gauge", float64(j.LastSyncNS.Load())/1e9)
 		add("treeaa_journal_replayed_records", "Records replayed at the last recovery.", "gauge", float64(j.Replayed.Load()))
 		add("treeaa_journal_replay_skips", "Torn-tail records dropped at the last recovery.", "gauge", float64(j.ReplaySkips.Load()))
-	}
-	if v := o.Overlay; v != nil {
-		add("treeaa_overlay_relayed_total", "Relay envelopes put on communication-tree links (origins and forwards).", "counter", float64(v.Relayed.Load()))
-		add("treeaa_overlay_relay_bytes_total", "Encoded relay envelope bytes across those link writes.", "counter", float64(v.RelayBytes.Load()))
-		add("treeaa_overlay_delivered_total", "Relay envelopes accepted first-copy by the watermark filter.", "counter", float64(v.Delivered.Load()))
-		add("treeaa_overlay_dedup_dropped_total", "Duplicate relay envelopes absorbed by the per-origin watermark.", "counter", float64(v.DedupDropped.Load()))
-		add("treeaa_overlay_replayed_total", "Frames retransmitted during link handshakes (rejoin and re-home).", "counter", float64(v.Replayed.Load()))
-		add("treeaa_overlay_failovers_total", "Successful re-homes to a new parent after a dead or silent one.", "counter", float64(v.Failovers.Load()))
-		add("treeaa_overlay_eor_total", "End-of-round aggregation frames by direction.", "counter", float64(v.EORUp.Load()), `dir="up"`)
-		add("treeaa_overlay_eor_total", "", "", float64(v.EORDown.Load()), `dir="down"`)
-		add("treeaa_overlay_batches_total", "Physical link writes (one flush each) across tree links.", "counter", float64(v.Batches.Load()))
-		add("treeaa_overlay_peak_conns", "Largest simultaneous per-node tree link count observed.", "gauge", float64(v.PeakConns()))
-		add("treeaa_overlay_depth", "Communication tree depth (root to deepest leaf, in nodes).", "gauge", float64(o.OverlayDepth))
-		add("treeaa_overlay_branching", "Communication tree branching factor.", "gauge", float64(o.OverlayBranching))
-		lat := v.RoundLatency()
-		add("treeaa_overlay_round_latency_seconds", "Per-party round barrier latency quantiles.", "gauge", lat.P50/1e9, `quantile="0.5"`)
-		add("treeaa_overlay_round_latency_seconds", "", "", lat.P99/1e9, `quantile="0.99"`)
 	}
 	if c := o.Chaos; c != nil {
 		add("treeaa_chaos_faults_total", "Injected faults by kind.", "counter", float64(c.Delays.Load()), `kind="delay"`)

@@ -13,9 +13,11 @@ package overlay
 //	ack    "TAAK" | version | watermarks
 //
 // watermarks = uvarint(count) then count × (u32(origin) | uvarint(have)),
-// ascending by origin, zero entries omitted. After the handshake every
-// frame on the link is a wire-encoded payload (wire.Version leads, so the
-// two vocabularies cannot be confused).
+// ascending by origin, zero entries omitted. After the handshake the
+// connection is a transport.Link: every frame is a wire-encoded payload
+// (wire.Version leads, so the two vocabularies cannot be confused) until
+// the link's goodbye. Version 2 added the goodbye; a version-1 peer is
+// refused at the hello.
 
 import (
 	"fmt"
@@ -24,7 +26,7 @@ import (
 	"treeaa/internal/wire"
 )
 
-const overlayVersion byte = 1
+const overlayVersion byte = 2
 
 var (
 	helloMagic = [4]byte{'T', 'A', 'A', 'O'}

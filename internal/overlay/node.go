@@ -23,11 +23,12 @@ var errCrashed = errors.New("overlay: injected crash")
 // frame with its raw bytes (kept for verbatim forwarding), an inbound
 // handshake, or a link failure.
 type levent struct {
-	l   *link
-	pay any
-	raw []byte
-	hs  *inbound
-	err error
+	l    *transport.Link
+	peer sim.PartyID // l's far end
+	pay  any
+	raw  []byte
+	hs   *inbound
+	err  error
 }
 
 // inbound is a validated child handshake handed to the main loop, which
@@ -119,8 +120,8 @@ type node struct {
 	quit      chan struct{}
 	closeOnce sync.Once
 
-	links    map[sim.PartyID]*link
-	parent   *link
+	links    map[sim.PartyID]*transport.Link
+	parent   *transport.Link
 	parentID sim.PartyID
 
 	sendSeq  uint64
@@ -141,7 +142,7 @@ func newNode(id sim.PartyID, lay Layout, machine sim.Machine, maxRounds int,
 		session: session, addrs: addrs, opts: opts,
 		events:   make(chan levent, 8*lay.N+64),
 		quit:     make(chan struct{}),
-		links:    make(map[sim.PartyID]*link, lay.MaxDegree()),
+		links:    make(map[sim.PartyID]*transport.Link, lay.MaxDegree()),
 		parentID: lay.Parent(id),
 		have:     make([]uint64, lay.N),
 		retained: make([][]retFrame, lay.N),
@@ -207,9 +208,9 @@ func (nd *node) run() (*nodeResult, error) {
 		}
 		if r == nd.crashRound {
 			// Injected crash: die mid-round, relays out (possibly partially
-			// flushed), the barrier report never sent. The subtree re-homes;
-			// the supervisor restarts us.
-			nd.crash()
+			// flushed), the barrier report never sent, no goodbye. The
+			// subtree re-homes; the supervisor restarts us.
+			nd.shutdown(false)
 			return nil, fmt.Errorf("%w: party %d at round %d", errCrashed, nd.id, r)
 		}
 		nd.markSelf(r)
@@ -263,7 +264,7 @@ func (nd *node) floodRound(r int, out []sim.Message) error {
 			nd.have[nd.id] = nd.sendSeq
 			nd.retained[nd.id] = append(nd.retained[nd.id], retFrame{seq: nd.sendSeq, round: r, env: env})
 			for _, l := range nd.links {
-				l.send(env)
+				l.Send(env)
 				nd.opts.Stats.Relayed.Add(1)
 				nd.opts.Stats.RelayBytes.Add(int64(len(env)))
 			}
@@ -321,7 +322,7 @@ func (nd *node) maybeUp(r int) {
 		return // unreachable: bitmaps are canonical by construction
 	}
 	u.sentArr, u.sentDone = na, ndn
-	nd.parent.send(env)
+	nd.parent.Send(env)
 	nd.opts.Stats.EORUp.Add(1)
 }
 
@@ -344,7 +345,7 @@ func (nd *node) checkRelease(r int) {
 		return // unreachable
 	}
 	for _, l := range nd.links {
-		l.send(env)
+		l.Send(env)
 		nd.opts.Stats.EORDown.Add(1)
 	}
 }
@@ -370,8 +371,7 @@ func (nd *node) awaitDown(r int) error {
 		case <-fo.C:
 			idle := time.Since(lastParent)
 			if nd.parent != nil && nd.lay.IsSubleader(nd.parentID) && idle >= nd.opts.FailoverTimeout {
-				stalled := nd.parent
-				stalled.close()
+				nd.parent.Kill()
 				delete(nd.links, nd.parentID)
 				nd.parent = nil
 				if err := nd.rehome(fmt.Errorf("parent %d silent for %v at barrier %d", nd.parentID, idle, r)); err != nil {
@@ -398,15 +398,15 @@ func (nd *node) handle(ev levent) error {
 	case ev.hs != nil:
 		return nd.acceptChild(ev.hs)
 	case ev.err != nil:
-		return nd.linkDown(ev.l, ev.err)
+		return nd.linkDown(ev.l, ev.peer, ev.err)
 	}
 	switch m := ev.pay.(type) {
 	case wire.RelayMsg:
 		return nd.onRelay(ev.l, m, ev.raw)
 	case wire.OverlayEOR:
-		return nd.onEOR(ev.l, m)
+		return nd.onEOR(ev.l, ev.peer, m)
 	default:
-		return fmt.Errorf("overlay: party %d: unexpected %T frame from party %d", nd.id, ev.pay, ev.l.peer)
+		return fmt.Errorf("overlay: party %d: unexpected %T frame from party %d", nd.id, ev.pay, ev.peer)
 	}
 }
 
@@ -415,7 +415,7 @@ func (nd *node) handle(ev levent) error {
 // strict watermark makes duplicates (re-homed paths, restart re-floods)
 // vanish at first contact and turns a genuine gap into a loud failure — on
 // FIFO links with handshake replay, gaps can only mean a protocol bug.
-func (nd *node) onRelay(l *link, m wire.RelayMsg, raw []byte) error {
+func (nd *node) onRelay(l *transport.Link, m wire.RelayMsg, raw []byte) error {
 	o := m.Origin
 	if o < 0 || int(o) >= nd.n {
 		return fmt.Errorf("overlay: party %d: relay origin %d out of range", nd.id, o)
@@ -446,7 +446,7 @@ func (nd *node) onRelay(l *link, m wire.RelayMsg, raw []byte) error {
 	}
 	for _, l2 := range nd.links {
 		if l2 != l {
-			l2.send(raw)
+			l2.Send(raw)
 			nd.opts.Stats.Relayed.Add(1)
 			nd.opts.Stats.RelayBytes.Add(int64(len(raw)))
 		}
@@ -454,15 +454,15 @@ func (nd *node) onRelay(l *link, m wire.RelayMsg, raw []byte) error {
 	return nil
 }
 
-func (nd *node) onEOR(l *link, m wire.OverlayEOR) error {
+func (nd *node) onEOR(l *transport.Link, peer sim.PartyID, m wire.OverlayEOR) error {
 	if m.Down {
 		if l != nd.parent {
-			return fmt.Errorf("overlay: party %d: release frame from non-parent party %d", nd.id, l.peer)
+			return fmt.Errorf("overlay: party %d: release frame from non-parent party %d", nd.id, peer)
 		}
 		return nd.onDown(m.Round, m.Done)
 	}
 	if l == nd.parent {
-		return fmt.Errorf("overlay: party %d: up frame from parent %d", nd.id, l.peer)
+		return fmt.Errorf("overlay: party %d: up frame from parent %d", nd.id, peer)
 	}
 	u := nd.up(m.Round)
 	ga := u.arrived.merge(m.Arrived)
@@ -490,23 +490,23 @@ func (nd *node) onDown(r int, done []byte) error {
 	}
 	for _, l := range nd.links {
 		if l != nd.parent {
-			l.send(env)
+			l.Send(env)
 			nd.opts.Stats.EORDown.Add(1)
 		}
 	}
 	return nil
 }
 
-// linkDown handles a failed link. A dead parent triggers the failover
+// linkDown handles a failed link — a goodbye included: a parent that shut
+// down is as gone as one that crashed. A dead parent triggers the failover
 // search; a dead child is benign here — if it owed barrier bits it either
 // re-homes (its own failover), restarts (the supervisor's job), or the
 // round times out.
-func (nd *node) linkDown(l *link, err error) error {
-	if nd.links[l.peer] != l {
+func (nd *node) linkDown(l *transport.Link, peer sim.PartyID, err error) error {
+	if nd.links[peer] != l {
 		return nil // superseded link; its replacement owns the peer now
 	}
-	delete(nd.links, l.peer)
-	l.close()
+	delete(nd.links, peer)
 	if l == nd.parent {
 		nd.parent = nil
 		return nd.rehome(err)
@@ -522,30 +522,63 @@ func (nd *node) linkDown(l *link, err error) error {
 func (nd *node) acceptChild(hs *inbound) error {
 	h := hs.h
 	if old := nd.links[h.from]; old != nil {
-		old.close()
+		old.Kill()
 	}
-	l := newLink(nd, h.from, hs.conn, hs.br)
+	l := nd.newLink(h.from, hs.conn, hs.br)
 	nd.links[h.from] = l
 	nd.opts.Stats.TrackConns(len(nd.links))
-	l.send(encodeAck(nd.have))
-	nd.replayTo(l, h.have)
+	l.Send(encodeAck(nd.have))
+	nd.replayTo(l, h.from, h.have)
 	nd.replayDowns(l, h.lastDown)
-	l.startReader()
+	l.Start()
 	return nil
+}
+
+// newLink wraps a handshaken tree edge whose reader feeds the main loop.
+// Bodies get their own allocation (relay envelopes are kept for replay),
+// and occupancy 1 flushes every frame at once: holding back any of a
+// round's relays only delays the release the whole tree waits on. Callers
+// Start it after registering it and queueing any replay.
+func (nd *node) newLink(peer sim.PartyID, conn net.Conn, br *bufio.Reader) *transport.Link {
+	var l *transport.Link
+	l = transport.NewLink(conn, br, transport.LinkConfig{
+		FlushOccupancy: 1,
+		MaxBatchBytes:  64 << 10,
+		WriteTimeout:   nd.opts.RoundTimeout,
+		ReadTimeout:    nd.opts.RoundTimeout,
+		Deliver: func(body []byte) error {
+			nd.opts.Wire.AddRecv(len(body))
+			pay, err := wire.Decode(body)
+			if err != nil {
+				return fmt.Errorf("frame: %w", err)
+			}
+			nd.enqueue(levent{l: l, peer: peer, pay: pay, raw: body})
+			return nil
+		},
+		Failed: func(err error) {
+			nd.enqueue(levent{l: l, peer: peer, err: fmt.Errorf("overlay: link %d↔%d: %w", nd.id, peer, err)})
+		},
+		Flushed: func(frames, bytes int, _ bool) {
+			nd.opts.Stats.Batches.Add(1)
+			nd.opts.Wire.FramesSent.Add(int64(frames))
+			nd.opts.Wire.BytesSent.Add(int64(bytes))
+		},
+	})
+	return l
 }
 
 // replayTo retransmits every retained envelope beyond the peer's watermark,
 // per origin in sequence order. The peer's own origin is skipped — it
 // regenerates those deterministically.
-func (nd *node) replayTo(l *link, peerHave []uint64) {
+func (nd *node) replayTo(l *transport.Link, peer sim.PartyID, peerHave []uint64) {
 	for o := 0; o < nd.n; o++ {
-		if sim.PartyID(o) == l.peer {
+		if sim.PartyID(o) == peer {
 			continue
 		}
 		w := peerHave[o]
 		for _, f := range nd.retained[o] {
 			if f.seq > w {
-				l.send(f.env)
+				l.Send(f.env)
 				nd.opts.Stats.Replayed.Add(1)
 				nd.opts.Stats.Relayed.Add(1)
 				nd.opts.Stats.RelayBytes.Add(int64(len(f.env)))
@@ -556,7 +589,7 @@ func (nd *node) replayTo(l *link, peerHave []uint64) {
 
 // replayDowns retransmits the releases a rejoining child is missing, in
 // round order, after replayTo's frames — same FIFO soundness as live flow.
-func (nd *node) replayDowns(l *link, peerLastDown int) {
+func (nd *node) replayDowns(l *transport.Link, peerLastDown int) {
 	rounds := make([]int, 0, len(nd.downs))
 	for r := range nd.downs {
 		if r > peerLastDown {
@@ -569,7 +602,7 @@ func (nd *node) replayDowns(l *link, peerLastDown int) {
 		if err != nil {
 			continue // unreachable
 		}
-		l.send(env)
+		l.Send(env)
 		nd.opts.Stats.EORDown.Add(1)
 	}
 }
@@ -639,13 +672,13 @@ func (nd *node) joinParent(deadline time.Time) error {
 		conn.Close()
 		return err
 	}
-	l := newLink(nd, nd.parentID, conn, br)
+	l := nd.newLink(nd.parentID, conn, br)
 	nd.links[nd.parentID] = l
 	nd.parent = l
 	nd.opts.Stats.TrackConns(len(nd.links))
-	nd.replayTo(l, parentHave)
+	nd.replayTo(l, nd.parentID, parentHave)
 	nd.resendUps()
-	l.startReader()
+	l.Start()
 	return nil
 }
 
@@ -667,7 +700,7 @@ func (nd *node) resendUps() {
 			continue // unreachable
 		}
 		u.sentArr, u.sentDone = u.arrived.count(), u.done.count()
-		nd.parent.send(env)
+		nd.parent.Send(env)
 		nd.opts.Stats.EORUp.Add(1)
 	}
 }
@@ -739,29 +772,22 @@ func (nd *node) prune() {
 	}
 }
 
-// crash kills the node the way a process death would: connections cut
-// mid-stream, nothing flushed, no goodbye.
-func (nd *node) crash() {
-	nd.closeOnce.Do(func() {
-		close(nd.quit)
-		for _, l := range nd.links {
-			l.close()
-		}
-	})
-}
-
-// shutdown ends the node. When graceful, every link drains its queue first,
-// so the final release frames reach the subtree before the connections die.
+// shutdown ends the node. Graceful links write their queue out — the final
+// releases must reach the subtree — then the goodbye; otherwise they die
+// mid-stream, as in a process death. Closing quit first frees link readers
+// blocked on the event queue, which nothing consumes any more.
 func (nd *node) shutdown(graceful bool) {
-	if graceful {
-		for _, l := range nd.links {
-			l.drain(nd.opts.RoundTimeout)
-		}
-	}
 	nd.closeOnce.Do(func() {
 		close(nd.quit)
 		for _, l := range nd.links {
-			l.close()
+			if graceful {
+				l.Close()
+			} else {
+				l.Kill()
+			}
+		}
+		for _, l := range nd.links {
+			<-l.Done()
 		}
 	})
 }

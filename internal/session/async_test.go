@@ -154,21 +154,16 @@ func TestAsyncServeQuietMatchesInProcess(t *testing.T) {
 	}
 }
 
-// TestAsyncOptionsRejected: the journal and the overlay fabric are built on
-// lock-step rounds, so an async daemon refuses them at construction with an
-// error naming the conflict.
+// TestAsyncOptionsRejected: the journal's replay is built on lock-step
+// rounds, so an async daemon refuses it at construction with an error
+// naming the conflict.
 func TestAsyncOptionsRejected(t *testing.T) {
 	addrs := []string{"127.0.0.1:1", "127.0.0.1:2"}
-	for name, opts := range map[string]Options{
-		"journal": {Async: true, JournalDir: t.TempDir()},
-		"overlay": {Async: true, OverlaySpec: "tree"},
-	} {
-		_, err := NewDaemon(0, addrs, "127.0.0.1:0", opts)
-		if err == nil {
-			t.Fatalf("NewDaemon accepted async + %s", name)
-		}
-		if !strings.Contains(err.Error(), "async mode") {
-			t.Errorf("%s rejection %q does not explain the async conflict", name, err)
-		}
+	_, err := NewDaemon(0, addrs, "127.0.0.1:0", Options{Async: true, JournalDir: t.TempDir()})
+	if err == nil {
+		t.Fatal("NewDaemon accepted async + journal")
+	}
+	if !strings.Contains(err.Error(), "async mode") {
+		t.Errorf("journal rejection %q does not explain the async conflict", err)
 	}
 }

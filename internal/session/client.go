@@ -14,21 +14,17 @@ import (
 	"treeaa/internal/wire"
 )
 
-// Client speaks the client API to one daemon — the binary wire protocol by
-// default, the legacy JSON protocol when dialed with DialJSONClient. It is
-// safe for concurrent use; requests on one client serialize over its
-// connection, so load generators open one client per worker.
+// Client speaks the binary client API to one daemon. It is safe for
+// concurrent use; requests on one client serialize over its connection, so
+// load generators open one client per worker.
 type Client struct {
-	json bool
-
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
 	wbuf []byte
 }
 
-// DialClient connects to a daemon's client API address, speaking the binary
-// protocol (the daemon's default).
+// DialClient connects to a daemon's client API address.
 func DialClient(addr string, timeout time.Duration) (*Client, error) {
 	conn, err := net.DialTimeout("tcp", addr, timeout)
 	if err != nil {
@@ -37,30 +33,9 @@ func DialClient(addr string, timeout time.Duration) (*Client, error) {
 	return &Client{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
-// DialJSONClient connects speaking the legacy length-prefixed JSON
-// protocol; the daemon must run with Options.JSONClientAPI.
-func DialJSONClient(addr string, timeout time.Duration) (*Client, error) {
-	c, err := DialClient(addr, timeout)
-	if err != nil {
-		return nil, err
-	}
-	c.json = true
-	return c, nil
-}
-
 func (c *Client) do(req Request) (*Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.json {
-		if err := writeJSON(c.conn, req); err != nil {
-			return nil, err
-		}
-		var resp Response
-		if err := readJSON(c.br, &resp); err != nil {
-			return nil, err
-		}
-		return &resp, nil
-	}
 	payload, err := clientPayload(req)
 	if err != nil {
 		return nil, err

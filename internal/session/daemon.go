@@ -64,9 +64,6 @@ type Options struct {
 	// MaxBatchBytes kicks the flusher early when a link's outbox reaches
 	// this size, bounding batch memory under load.
 	MaxBatchBytes int
-	// JSONClientAPI serves the legacy length-prefixed JSON client protocol
-	// instead of the binary wire protocol (see DialJSONClient).
-	JSONClientAPI bool
 	// DefaultTTL is the session deadline applied when a spec's TTL is zero;
 	// it also sets how long terminal sessions linger for status queries.
 	DefaultTTL time.Duration
@@ -84,9 +81,9 @@ type Options struct {
 	// on arrival, with no end-of-round barriers and no round timeouts. The
 	// mode is a deployment property — it joins the cluster hash, so a sync
 	// and an async daemon refuse to pair. Async daemons host honest seats
-	// only and reject the journal and the overlay fabric (both are built on
-	// the lock-step round structure async mode abolishes); NewDaemon refuses
-	// those combinations up front.
+	// only and reject the journal (its replay is built on the lock-step
+	// round structure async mode abolishes); NewDaemon refuses that
+	// combination up front.
 	Async bool
 
 	// JournalDir enables the write-ahead session journal: each daemon
@@ -116,16 +113,6 @@ type Options struct {
 
 	// Stats receives the daemon's counters; shared across daemons in tests.
 	Stats *metrics.ServeStats
-	// OverlaySpec, when set ("tree" or "tree:<branching>"), names the
-	// communication-tree fabric this deployment is configured for. It joins
-	// the cluster hash — daemons disagreeing on the fabric refuse to pair —
-	// and selects the overlay metric families on the /metrics endpoint.
-	// Validation is the CLI's job (overlay.ParseSpec); the manager treats
-	// the spec as an opaque identity component.
-	OverlaySpec string
-	// OverlayStats receives the relay fabric's counters when OverlaySpec is
-	// set, for the observability endpoint to export.
-	OverlayStats *metrics.OverlayStats
 	// WrapConn, when set, wraps every peer connection on the writing side —
 	// the chaos injection seam, same contract as transport.Options.WrapConn.
 	WrapConn func(from, to sim.PartyID, conn net.Conn) net.Conn
@@ -224,15 +211,9 @@ func NewDaemon(id int, peerAddrs []string, clientAddr string, opts Options) (*Da
 	if id < 0 || id >= n {
 		return nil, fmt.Errorf("session: daemon id %d out of range [0, %d)", id, n)
 	}
-	if opts.Async {
-		if opts.JournalDir != "" {
-			return nil, fmt.Errorf("session: the journal's muted replay re-steps engines through " +
-				"lock-step rounds, which async mode does not have — drop -journal-dir or use -mode sync")
-		}
-		if opts.OverlaySpec != "" {
-			return nil, fmt.Errorf("session: the tree overlay relays round-batched traffic between " +
-				"eor barriers, which async mode does not have — drop -overlay or use -mode sync")
-		}
+	if opts.Async && opts.JournalDir != "" {
+		return nil, fmt.Errorf("session: the journal's muted replay re-steps engines through " +
+			"lock-step rounds, which async mode does not have — drop -journal-dir or use -mode sync")
 	}
 	return &Daemon{
 		id:        sim.PartyID(id),
@@ -266,7 +247,7 @@ func (d *Daemon) Run(ctx context.Context) error {
 	}
 	d.clientLn = clientLn
 
-	cluster := clusterHash(d.peerAddrs, d.opts.OverlaySpec, d.opts.Async)
+	cluster := clusterHash(d.peerAddrs, d.opts.Async)
 	d.mgr = newManager(d)
 	// Journal recovery runs before the mux exists: the session table is
 	// rebuilt from disk in isolation, then the mesh comes up and the restored
@@ -375,15 +356,15 @@ func (d *Daemon) Manager() *Manager { return d.mgr }
 func (d *Daemon) Stats() *metrics.ServeStats { return d.opts.Stats }
 
 // clusterHash pins the deployment identity the mux hello checks: same
-// daemon set, same order, same overlay fabric, same execution mode — or
-// the handshake fails. Folding the mode in means a sync and an async
-// daemon can never exchange a single session frame.
-func clusterHash(addrs []string, overlaySpec string, async bool) uint64 {
+// daemon set, same order, same execution mode — or the handshake fails.
+// Folding the mode in means a sync and an async daemon can never exchange
+// a single session frame.
+func clusterHash(addrs []string, async bool) uint64 {
 	mode := "sync"
 	if async {
 		mode = "async"
 	}
-	parts := append([]string{"serve", mode, overlaySpec, strconv.Itoa(len(addrs))}, addrs...)
+	parts := append([]string{"serve", mode, strconv.Itoa(len(addrs))}, addrs...)
 	return transport.DeriveSession(parts...)
 }
 

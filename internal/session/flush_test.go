@@ -1,6 +1,7 @@
 package session
 
 import (
+	"errors"
 	"net"
 	"reflect"
 	"sync"
@@ -8,72 +9,10 @@ import (
 	"testing"
 	"time"
 
-	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/wire"
 )
-
-// TestFlushPolicyTable pins the adaptive flusher's decisions as pure
-// functions: when it coalesces, how the frames-per-flush average evolves,
-// and what cuts a waiting batch short.
-func TestFlushPolicyTable(t *testing.T) {
-	coalesce := []struct {
-		ewma      float64
-		occupancy int
-		want      bool
-	}{
-		{0, 32, false},    // cold link: flush immediately, batching buys nothing
-		{1, 32, false},    // single-frame flushes: still latency-bound
-		{22, 32, false},   // bursty but under target: waits would burn the interval
-		{31.9, 32, false}, // just under the target
-		{32, 32, true},    // waits tend to fill the batch: hold for fuller ones
-		{600, 32, true},   // saturated link
-		{4, 4, true},      // target scales with FlushOccupancy
-	}
-	for _, c := range coalesce {
-		if got := shouldCoalesce(c.ewma, c.occupancy); got != c.want {
-			t.Errorf("shouldCoalesce(%v, %d) = %v, want %v", c.ewma, c.occupancy, got, c.want)
-		}
-	}
-
-	ewma := []struct {
-		prev   float64
-		frames int
-		want   float64
-	}{
-		{0, 0, 0},  // empty flush carries no signal
-		{5, 0, 5},  // ditto: average unchanged
-		{5, -1, 5}, // defensive: nonsense counts ignored
-		{0, 8, 8},  // first sample seeds the average
-		{4, 8, 5},  // 0.75*4 + 0.25*8
-		{8, 4, 7},  // decays toward quiet
-		{2, 2, 2},  // steady state is a fixed point
-	}
-	for _, c := range ewma {
-		if got := updateEWMA(c.prev, c.frames); got != c.want {
-			t.Errorf("updateEWMA(%v, %d) = %v, want %v", c.prev, c.frames, got, c.want)
-		}
-	}
-
-	ready := []struct {
-		frames, bytes, occupancy, maxBytes int
-		want                               bool
-	}{
-		{1, 100, 32, 1 << 16, false},       // one small frame: wait
-		{31, 1000, 32, 1 << 16, false},     // just under the occupancy cut
-		{32, 1000, 32, 1 << 16, true},      // occupancy threshold
-		{5, 1 << 16, 32, 1 << 16, true},    // byte cap trumps occupancy
-		{5, 1<<16 - 1, 32, 1 << 16, false}, // just under the byte cap
-		{1, 0, 1, 1 << 16, true},           // occupancy 1 disables coalescing
-	}
-	for _, c := range ready {
-		if got := batchReady(c.frames, c.bytes, c.occupancy, c.maxBytes); got != c.want {
-			t.Errorf("batchReady(%d, %d, %d, %d) = %v, want %v",
-				c.frames, c.bytes, c.occupancy, c.maxBytes, got, c.want)
-		}
-	}
-}
 
 // gateConn blocks every write after the first until the gate is released —
 // the test lever for a peer whose socket stopped draining after the mesh
@@ -94,7 +33,7 @@ func (c gateConn) Write(b []byte) (int, error) {
 
 // startTestMeshes brings up an n-node mux mesh without daemons on top: the
 // handler records raw deliveries, and onDown failures flunk the test
-// unless the mesh is already closing.
+// unless the mesh is already closing or the peer said goodbye.
 func startTestMeshes(t *testing.T, n int, opts Options,
 	handler func(me, from sim.PartyID, body []byte)) []*mux {
 	t.Helper()
@@ -115,7 +54,7 @@ func startTestMeshes(t *testing.T, n int, opts Options,
 		muxes[i] = newMux(me, n, addrs, 1, opts,
 			func(from sim.PartyID, body []byte) error { handler(me, from, body); return nil },
 			func(peer sim.PartyID, err error) {
-				if !muxes[me].closed() {
+				if !errors.Is(err, transport.ErrPeerClosed) && !muxes[me].closed() {
 					t.Errorf("link %d-%d down: %v", me, peer, err)
 				}
 			},
@@ -218,41 +157,5 @@ func TestBinaryFrameMatchesTransportFraming(t *testing.T) {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("appendSessionFrame(%T) = %x, want %x", p, got, want)
 		}
-	}
-}
-
-// TestJSONClientAPICompat pins the legacy protocol: a daemon running with
-// JSONClientAPI serves the original length-prefixed JSON request loop, and
-// DialJSONClient speaks it, end to end with a real decided session.
-func TestJSONClientAPICompat(t *testing.T) {
-	stats := &metrics.ServeStats{}
-	c := startTestCluster(t, 3, Options{JSONClientAPI: true, Stats: stats})
-	cl, err := DialJSONClient(c.ClientAddr(1), 5*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	spec := Spec{Tree: "kary:2:3", Seed: 11, TTL: time.Minute}
-	resp, err := cl.Submit(spec, 0, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.Decided() {
-		t.Fatalf("session ended %s (%s), want decided", resp.State, resp.Err)
-	}
-	got, err := resp.SimResult()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := Oracle(3, spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("JSON-served result diverges from oracle:\n got %+v\nwant %+v", got, want)
-	}
-	// The binary-only byte counter must stay untouched on the JSON path.
-	if n := stats.ClientBytes.Load(); n != 0 {
-		t.Fatalf("ClientBytes = %d on the JSON protocol, want 0", n)
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"treeaa/internal/journal"
 	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
+	"treeaa/internal/transport"
 	"treeaa/internal/tree"
 	"treeaa/internal/wire"
 )
@@ -41,8 +42,8 @@ type session struct {
 	waiters []chan Outcome
 
 	// Durability state (journaled daemons only).
-	sealed  bool            // a terminal seal record has been appended
-	durable <-chan struct{} // closed once the seal is fsynced; nil = no gating
+	sealed  bool         // a terminal seal record has been appended
+	durable <-chan error // a decided seal's pending commit; its outcome is withheld until the ticket reports
 }
 
 // Manager owns a daemon's session table: admission control, lifecycle
@@ -417,7 +418,21 @@ func (m *Manager) terminalLocked(s *session, st State, reason string) {
 	if s.eng != nil {
 		s.eng.sh.wake(s.eng)
 	}
-	switch st {
+	m.stats().AddSessionLatency(s.latency)
+	m.sealLocked(s)
+	m.logSession(s, "session terminal")
+	if s.durable != nil {
+		// The waiters stay queued until the seal's ticket reports.
+		go m.deliverOutcome(s, s.durable)
+		return
+	}
+	m.releaseLocked(s)
+}
+
+// releaseLocked makes a terminal outcome public: the counters, then every
+// waiter (channels are buffered, sends never block).
+func (m *Manager) releaseLocked(s *session) {
+	switch s.state {
 	case StateDecided:
 		m.stats().Decided.Add(1)
 	case StateExpired:
@@ -426,13 +441,11 @@ func (m *Manager) terminalLocked(s *session, st State, reason string) {
 	default:
 		m.stats().Failed.Add(1)
 	}
-	m.stats().AddSessionLatency(s.latency)
-	m.sealLocked(s)
-	m.logSession(s, "session terminal")
 	out := m.outcomeLocked(s)
-	waiters := s.waiters
+	for _, w := range s.waiters {
+		w <- out
+	}
 	s.waiters = nil
-	deliverOutcome(s.durable, waiters, out)
 }
 
 // sealLocked journals the terminal transition. Origin-side decided seals
@@ -462,35 +475,46 @@ func (m *Manager) sealLocked(s *session) {
 	if s.state == StateDecided && s.origin == m.d.id {
 		// Only the origin acks the client, so only the origin needs the
 		// fsync barrier. Non-origin seals ride the next group commit.
-		if ticket, err := m.jw.Commit(seal); err == nil {
-			s.durable = ticket
+		ticket, err := m.jw.Commit(seal)
+		if err != nil {
+			m.sealFailedLocked(s, err)
+			return
 		}
+		s.durable = ticket
 	} else {
 		m.jw.Append(seal)
 	}
 }
 
-// deliverOutcome sends the outcome to each waiter (channels are buffered,
-// sends never block), gated on seal durability when a ticket exists.
-func deliverOutcome(durable <-chan struct{}, waiters []chan Outcome, out Outcome) {
-	if len(waiters) == 0 {
-		return
+// deliverOutcome releases a decided origin session once its seal's ticket
+// reports. A failed sync turns the session into a journal failure first,
+// so no waiter — and no later status query — ever sees "decided" for a
+// seal that is not on disk.
+func (m *Manager) deliverOutcome(s *session, ticket <-chan error) {
+	err := <-ticket
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s.durable = nil
+	if err != nil {
+		m.sealFailedLocked(s, err)
+		m.logSession(s, "session seal failed")
 	}
-	if durable == nil {
-		for _, w := range waiters {
-			w <- out
-		}
-		return
-	}
-	go func() {
-		<-durable
-		for _, w := range waiters {
-			w <- out
-		}
-	}()
+	m.releaseLocked(s)
+}
+
+// sealFailedLocked demotes a decided session whose seal could not be made
+// durable.
+func (m *Manager) sealFailedLocked(s *session, err error) {
+	s.state, s.result = StateFailed, nil
+	s.reason = fmt.Sprintf("journal: decided seal not durable: %v", err)
 }
 
 func (m *Manager) outcomeLocked(s *session) Outcome {
+	if s.durable != nil {
+		// Decided, but the seal is still syncing: nothing may observe the
+		// decision before it is on disk.
+		return Outcome{SID: s.sid, State: StateRunning}
+	}
 	return Outcome{SID: s.sid, State: s.state, Err: s.reason,
 		Result: s.result, Latency: s.latency}
 }
@@ -550,11 +574,11 @@ func (m *Manager) Wait(sid uint64) (<-chan Outcome, error) {
 		return nil, fmt.Errorf("session: unknown session id %#x", sid)
 	}
 	ch := make(chan Outcome, 1)
-	if s.state.Terminal() {
-		// Same durability gate as the terminal transition: a decided outcome
-		// is observable only after its seal is on stable storage.
-		deliverOutcome(s.durable, []chan Outcome{ch}, m.outcomeLocked(s))
+	if s.state.Terminal() && s.durable == nil {
+		ch <- m.outcomeLocked(s)
 	} else {
+		// Still running, or decided with its seal syncing: deliverOutcome
+		// releases the waiters once the ticket reports.
 		s.waiters = append(s.waiters, ch)
 	}
 	return ch, nil
@@ -578,8 +602,12 @@ func (m *Manager) linkDown(peer sim.PartyID, err error) {
 			}
 		}
 	}
+	reason := fmt.Sprintf("peer link down: %v", err)
+	if errors.Is(err, transport.ErrPeerClosed) {
+		reason = fmt.Sprintf("peer daemon %d shut down", peer)
+	}
 	for _, s := range victims {
-		m.terminalLocked(s, StateFailed, fmt.Sprintf("peer link down: %v", err))
+		m.terminalLocked(s, StateFailed, reason)
 	}
 	m.mu.Unlock()
 }

@@ -2,12 +2,13 @@ package session
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"treeaa/internal/metrics"
 	"treeaa/internal/sim"
 	"treeaa/internal/transport"
 	"treeaa/internal/wire"
@@ -20,38 +21,39 @@ import (
 //
 // One duplex connection serves each unordered daemon pair — the lower id
 // dials — so a 4-daemon cluster runs every session over 6 connections.
-// All subsequent frames in both directions are FrameMuxSession envelopes
-// around wire session bodies.
+// After the hello the connection is a transport.Link: every frame in both
+// directions is a FrameMuxSession envelope around a wire session body,
+// until a goodbye ends the link in order.
 //
-// Links are generational: when one dies (peer crash, restart, network
-// fault) the lower-id side redials with backoff and the higher-id side
-// accepts a replacement, bumping the link generation so goroutines of the
-// dead incarnation unwind without disturbing the new one. The session
-// layer hears onDown/onUp transitions and degrades admission rather than
-// the whole daemon.
-const muxVersion byte = 1
+// Links are generational: when one dies (peer crash, restart, shutdown,
+// network fault) the lower-id side redials with backoff and the higher-id
+// side accepts a replacement. Each generation is its own Link, so a dead
+// incarnation's late failure report is recognised by pointer identity and
+// ignored. The session layer hears onDown/onUp transitions and degrades
+// admission rather than the whole daemon. Version 2 added the goodbye.
+const muxVersion byte = 2
 
 var muxMagic = [4]byte{'T', 'A', 'A', 'S'}
 
-// mux owns a daemon's peer links: the mesh handshake, one reader per link
-// (demultiplexing into the handler), one flusher per link (coalescing
-// every session's outbound frames into batched writes), and the redial
-// loop that restores links the peer's restart tore down.
+// mux owns a daemon's peer links: the mesh handshake, one transport.Link
+// per peer (its reader demultiplexes into the handler, its flusher
+// coalesces every session's outbound frames into batched writes), and the
+// redial loop that restores links the peer's restart tore down.
 type mux struct {
 	id      sim.PartyID
 	n       int
 	addrs   []string
 	cluster uint64
 	opts    Options
-	stats   *metrics.ServeStats
 
 	// handler receives every inbound wire body, still encoded, attributed to
 	// its authenticated peer. It runs on the link's reader goroutine and is
-	// expected to route data-plane frames without decoding them (zero-copy:
-	// transport.ReadFrame allocates a fresh slice per frame, so the handler
-	// may retain body). A non-nil error fails the link.
+	// expected to route data-plane frames without decoding them; the body is
+	// carved from the link's read arena and stays valid after the call. A
+	// non-nil error fails the link.
 	handler func(from sim.PartyID, body []byte) error
-	// onDown reports a dead link (read or write failure after setup).
+	// onDown reports a dead link; err wraps transport.ErrPeerClosed when the
+	// peer said goodbye.
 	onDown func(peer sim.PartyID, err error)
 	// onUp reports a link restored after a failure (and the initial mesh).
 	onUp func(peer sim.PartyID)
@@ -62,34 +64,23 @@ type mux struct {
 	quit      chan struct{}
 	closeOnce sync.Once
 	wg        sync.WaitGroup
-	flushWG   sync.WaitGroup // the flushers alone, so close can await their final drain
 
 	mu    sync.Mutex
 	conns []net.Conn
 }
 
-// peerLink is one duplex daemon-pair link: the current connection (one
-// generation at a time), and the outbox the flusher drains.
+// peerLink is one daemon pair's slot: the live Link of the current
+// generation (nil while the pair is down) and the redial state.
 type peerLink struct {
-	m    *mux
 	peer sim.PartyID
 
 	ready     chan struct{} // closed when the link first comes up
 	readyOnce sync.Once
 
-	mu        sync.Mutex
-	conn      net.Conn
-	br        *bufio.Reader
-	gen       int           // incremented per registered connection
-	up        bool          // current generation is live
-	genQuit   chan struct{} // closed when the current generation dies
-	redialing bool          // a redial goroutine is already running
+	link atomic.Pointer[transport.Link] // written under mu, read lock-free by enqueue
 
-	pending  []byte // concatenated encoded frames awaiting one batched write
-	spare    []byte // last flushed batch, recycled to avoid regrowing pending
-	frames   int
-	kick     chan struct{} // capacity 1: outbox went non-empty
-	kickFull chan struct{} // capacity 1: outbox reached the flush threshold
+	mu        sync.Mutex
+	redialing bool // a redial goroutine is already running
 }
 
 func newMux(id sim.PartyID, n int, addrs []string, cluster uint64, opts Options,
@@ -97,25 +88,22 @@ func newMux(id sim.PartyID, n int, addrs []string, cluster uint64, opts Options,
 	onDown func(peer sim.PartyID, err error), onUp func(peer sim.PartyID)) *mux {
 	m := &mux{
 		id: id, n: n, addrs: addrs, cluster: cluster, opts: opts,
-		stats: opts.Stats, handler: handler, onDown: onDown, onUp: onUp,
+		handler: handler, onDown: onDown, onUp: onUp,
 		peers: make(map[sim.PartyID]*peerLink, n-1),
 		quit:  make(chan struct{}),
 	}
 	for p := sim.PartyID(0); int(p) < n; p++ {
-		if p == id {
-			continue
+		if p != id {
+			m.peers[p] = &peerLink{peer: p, ready: make(chan struct{})}
 		}
-		m.peers[p] = &peerLink{m: m, peer: p, ready: make(chan struct{}),
-			kick: make(chan struct{}, 1), kickFull: make(chan struct{}, 1)}
 	}
 	return m
 }
 
 // start builds the mesh over the given bound listener: accept links from
 // lower-id peers, dial higher-id peers, then wait until every link is up.
-// On success the per-link readers and flushers are running. Lower-id peers
-// of a restarted daemon reach it by their own redial loops, so start
-// tolerates them arriving any time within SetupTimeout.
+// Lower-id peers of a restarted daemon reach it by their own redial loops,
+// so start tolerates them arriving any time within SetupTimeout.
 func (m *mux) start(ln net.Listener) error {
 	m.ln = ln
 	deadline := time.Now().Add(m.opts.SetupTimeout)
@@ -156,7 +144,7 @@ func (m *mux) dial(p sim.PartyID, deadline time.Time) error {
 		return fmt.Errorf("session: daemon %d handshake to daemon %d: %w", m.id, p, err)
 	}
 	conn.SetWriteDeadline(time.Time{})
-	if err := m.register(p, conn, bufio.NewReaderSize(conn, 64<<10), false); err != nil {
+	if err := m.register(p, conn, nil, false); err != nil {
 		conn.Close()
 		return err
 	}
@@ -224,102 +212,114 @@ func (m *mux) handshakeIn(conn net.Conn) {
 	}
 	conn.SetReadDeadline(time.Time{})
 	// Re-wrap happens on our side too: the acceptor faults its own writes.
-	wrapped := m.wrap(from, conn)
-	if wrapped != conn {
-		m.track(wrapped)
-	}
-	if err := m.register(from, wrapped, br, true); err != nil {
+	if err := m.register(from, m.wrap(from, conn), br, true); err != nil {
 		conn.Close()
 	}
 }
 
-// register installs a connection as the link's next generation and starts
-// its reader and flusher. With replace set, a live previous generation is
-// torn down first (peer-restart case); without it, a live link rejects the
-// duplicate.
+// register installs a connection as the pair's next generation and starts
+// it. With replace set, a live previous generation is killed first
+// (peer-restart case) — the frames queued on it are stale, since the
+// sessions they belonged to fail with it; without it, a live link rejects
+// the duplicate.
 func (m *mux) register(peer sim.PartyID, conn net.Conn, br *bufio.Reader, replace bool) error {
 	if m.closed() {
 		return fmt.Errorf("session: daemon %d is closed", m.id)
 	}
-	l := m.peers[peer]
-	l.mu.Lock()
-	if l.up {
+	pl := m.peers[peer]
+	var lk *transport.Link
+	lk = transport.NewLink(conn, br, transport.LinkConfig{
+		FlushInterval:  m.opts.FlushInterval,
+		FlushOccupancy: m.opts.FlushOccupancy,
+		MaxBatchBytes:  m.opts.MaxBatchBytes,
+		WriteTimeout:   m.opts.RoundTimeout,
+		// No read deadline: an idle link is healthy, and per-session
+		// liveness is the engines' round timeout.
+		Arena: true,
+		Deliver: func(body []byte) error {
+			if body[0] != transport.FrameMuxSession {
+				return fmt.Errorf("unexpected frame type 0x%02x", body[0])
+			}
+			return m.handler(peer, body[1:]) // still encoded: the shard decodes
+		},
+		Failed:  func(err error) { m.linkFailed(pl, lk, err) },
+		Flushed: m.flushed,
+	})
+	pl.mu.Lock()
+	if old := pl.link.Load(); old != nil {
 		if !replace {
-			l.mu.Unlock()
+			pl.mu.Unlock()
 			return fmt.Errorf("session: duplicate link from daemon %d", peer)
 		}
-		l.markDownLocked()
+		old.Kill()
 	}
-	l.conn, l.br = conn, br
-	l.gen++
-	l.up = true
-	l.genQuit = make(chan struct{})
-	// Frames queued for the dead incarnation are stale: the sessions they
-	// belonged to have been failed (or will resend via their own protocol
-	// rounds). Carrying them over would interleave two incarnations' traffic.
-	l.pending, l.frames = l.pending[:0], 0
-	gen, genQuit := l.gen, l.genQuit
-	l.mu.Unlock()
-	m.wg.Add(2)
-	m.flushWG.Add(1)
-	go m.readLoop(l, gen, br)
-	go m.flushLoop(l, gen, genQuit, conn)
-	l.readyOnce.Do(func() { close(l.ready) })
-	if m.onUp != nil && !m.closed() {
+	pl.link.Store(lk)
+	pl.mu.Unlock()
+	m.wg.Add(1)
+	go func() { <-lk.Done(); m.wg.Done() }()
+	lk.Start()
+	if m.closed() {
+		// shutdown may have swept the links before this one was stored.
+		lk.Kill()
+		return nil
+	}
+	pl.readyOnce.Do(func() { close(pl.ready) })
+	if m.onUp != nil {
 		m.onUp(peer)
 	}
 	return nil
 }
 
-// markDownLocked retires the current generation: the connection dies, its
-// goroutines unwind (flushers via genQuit, readers via the closed socket),
-// and queued frames are dropped. Caller holds l.mu.
-func (l *peerLink) markDownLocked() {
-	if !l.up {
-		return
+func (m *mux) flushed(frames, bytes int, coalesced bool) {
+	s := m.opts.Stats
+	s.Batches.Add(1)
+	s.BatchFrames.Add(int64(frames))
+	s.BatchBytes.Add(int64(bytes))
+	if coalesced {
+		s.BatchesCoalesced.Add(1)
 	}
-	l.up = false
-	close(l.genQuit)
-	l.conn.Close()
-	l.pending, l.frames = l.pending[:0], 0
 }
 
-// linkFailed handles a read or write failure on a specific generation. A
-// stale generation (already replaced or already failed) is ignored. The
-// lower-id side owns redialing, mirroring the initial mesh direction.
-func (m *mux) linkFailed(l *peerLink, gen int, err error) {
-	l.mu.Lock()
-	if l.gen != gen || !l.up {
-		l.mu.Unlock()
+// linkFailed handles the end of a generation the mux did not close. A
+// stale generation (already replaced) is ignored. The lower-id side owns
+// redialing, mirroring the initial mesh direction. A goodbye is still a
+// dead link to the session layer, but not a fault: LinkDowns skips it.
+func (m *mux) linkFailed(pl *peerLink, lk *transport.Link, err error) {
+	pl.mu.Lock()
+	if pl.link.Load() != lk {
+		pl.mu.Unlock()
 		return
 	}
-	l.markDownLocked()
-	redial := l.peer > m.id && !l.redialing && !m.closed()
+	pl.link.Store(nil)
+	redial := pl.peer > m.id && !pl.redialing && !m.closed()
 	if redial {
-		l.redialing = true
+		pl.redialing = true
 	}
-	l.mu.Unlock()
-	if !m.closed() && m.onDown != nil {
-		m.onDown(l.peer, err)
+	pl.mu.Unlock()
+	if m.closed() {
+		return
 	}
-	if s := m.stats; s != nil {
-		s.LinkDowns.Add(1)
+	if m.onDown != nil {
+		m.onDown(pl.peer, fmt.Errorf("session: link %d↔%d: %w", m.id, pl.peer, err))
+	}
+	if !errors.Is(err, transport.ErrPeerClosed) {
+		m.opts.Stats.LinkDowns.Add(1)
 	}
 	if redial {
 		m.wg.Add(1)
-		go m.redialLoop(l)
+		go m.redialLoop(pl)
 	}
 }
 
 // redialLoop restores a link to a higher-id peer with capped exponential
 // backoff, giving up only when the mux closes. A restarting peer rebinds
 // its listener late in recovery, so early attempts failing is the norm.
-func (m *mux) redialLoop(l *peerLink) {
+func (m *mux) redialLoop(pl *peerLink) {
 	defer m.wg.Done()
 	defer func() {
-		l.mu.Lock()
-		l.redialing = false
-		l.mu.Unlock()
+		pl.mu.Lock()
+		pl.redialing = false
+		pl.mu.Unlock()
 	}()
 	backoff := 25 * time.Millisecond
 	for {
@@ -331,44 +331,21 @@ func (m *mux) redialLoop(l *peerLink) {
 		if backoff *= 2; backoff > time.Second {
 			backoff = time.Second
 		}
-		if err := m.dial(l.peer, time.Now().Add(m.opts.SetupTimeout)); err == nil {
-			if s := m.stats; s != nil {
-				s.LinkRedials.Add(1)
-			}
+		if err := m.dial(pl.peer, time.Now().Add(m.opts.SetupTimeout)); err == nil {
+			m.opts.Stats.LinkRedials.Add(1)
 			return
 		}
 	}
 }
 
-// enqueue appends one encoded frame to the peer's outbox. It never blocks:
-// the flusher owns the socket, and backpressure is applied per link by the
-// flusher's write, never across links. The frame bytes are copied, so
-// callers may reuse their encode buffers. Frames for a down link are
-// dropped — the session layer has already failed the affected sessions.
+// enqueue appends one encoded frame to the peer's outbox. It never blocks
+// (see transport.Link.Enqueue) and copies the frame, so callers may reuse
+// their encode buffers. Frames for a down link are dropped — the session
+// layer has already failed the affected sessions.
 func (m *mux) enqueue(to sim.PartyID, frame []byte) {
-	l := m.peers[to]
-	if l == nil {
-		return
-	}
-	l.mu.Lock()
-	if !l.up {
-		l.mu.Unlock()
-		return
-	}
-	first := l.frames == 0
-	l.pending = append(l.pending, frame...)
-	l.frames++
-	ready := batchReady(l.frames, len(l.pending), m.opts.FlushOccupancy, m.opts.MaxBatchBytes)
-	l.mu.Unlock()
-	if ready {
-		select {
-		case l.kickFull <- struct{}{}:
-		default:
-		}
-	} else if first {
-		select {
-		case l.kick <- struct{}{}:
-		default:
+	if pl := m.peers[to]; pl != nil {
+		if lk := pl.link.Load(); lk != nil {
+			lk.Enqueue(frame)
 		}
 	}
 }
@@ -382,177 +359,6 @@ func (m *mux) broadcast(frame []byte) {
 	}
 }
 
-// Adaptive flush policy, as pure functions so the table tests can pin the
-// decisions without a cluster.
-//
-// The flusher tracks an EWMA of frames-per-flush. On a quiet link (EWMA
-// below the occupancy target) the first queued frame flushes immediately —
-// batching would only add latency no batch will ever repay, and immediate
-// flushes still batch whatever piled up during the previous write. On a
-// busy link the flusher holds the first frame up to FlushInterval, cutting
-// the batch short the moment occupancy (frames or bytes) crosses the
-// threshold. The loop is self-correcting: a coalescing wait that times out
-// with a thin batch drags the EWMA back under the target and the link
-// returns to immediate flushing.
-
-// shouldCoalesce reports whether the recent frames-per-flush average makes
-// waiting for a fuller batch worthwhile: only when history says a wait
-// tends to fill the occupancy target rather than burn the interval.
-func shouldCoalesce(ewma float64, occupancy int) bool { return ewma >= float64(occupancy) }
-
-// updateEWMA folds one flush's frame count into the running average
-// (quarter-weight on the new sample; empty flushes carry no signal).
-func updateEWMA(prev float64, frames int) float64 {
-	if frames <= 0 {
-		return prev
-	}
-	if prev == 0 {
-		return float64(frames)
-	}
-	return 0.75*prev + 0.25*float64(frames)
-}
-
-// batchReady reports whether the outbox has hit either flush threshold.
-func batchReady(frames, bytes, occupancy, maxBytes int) bool {
-	return frames >= occupancy || bytes >= maxBytes
-}
-
-// flushLoop coalesces a link's outbox into one conn.Write per wakeup,
-// pacing itself by the adaptive policy above. kick wakes it when the outbox
-// goes non-empty; kickFull cuts a coalescing wait short the moment the
-// occupancy threshold is hit. Stale kicks (the frames they announced were
-// already flushed) cost one no-op flush and are otherwise harmless, so the
-// loop never tries to drain them. One flusher runs per link generation;
-// genQuit retires it when the generation dies.
-func (m *mux) flushLoop(l *peerLink, gen int, genQuit chan struct{}, conn net.Conn) {
-	defer m.wg.Done()
-	defer m.flushWG.Done()
-	timer := time.NewTimer(m.opts.FlushInterval)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	var ewma float64
-	for {
-		select {
-		case <-l.kick:
-			if shouldCoalesce(ewma, m.opts.FlushOccupancy) {
-				// Busy link: hold for a fuller batch, up to FlushInterval.
-				timer.Reset(m.opts.FlushInterval)
-				select {
-				case <-l.kickFull:
-					if !timer.Stop() {
-						<-timer.C
-					}
-					if s := m.stats; s != nil {
-						s.BatchesCoalesced.Add(1)
-					}
-				case <-timer.C:
-				case <-genQuit:
-					return
-				case <-m.quit:
-					l.flush(gen, conn)
-					return
-				}
-			}
-		case <-l.kickFull:
-			if s := m.stats; s != nil {
-				s.BatchesCoalesced.Add(1)
-			}
-		case <-genQuit:
-			return
-		case <-m.quit:
-			l.flush(gen, conn) // best-effort final drain so queued decides reach peers
-			return
-		}
-		n, stale, err := l.flush(gen, conn)
-		if stale {
-			// A replacement generation owns the outbox now; hand it any kick
-			// this loop consumed so its flusher wakes, then retire.
-			select {
-			case l.kick <- struct{}{}:
-			default:
-			}
-			return
-		}
-		if err != nil {
-			m.linkFailed(l, gen, fmt.Errorf("session: link %d→%d: %w", m.id, l.peer, err))
-			return
-		}
-		ewma = updateEWMA(ewma, n)
-	}
-}
-
-// flush writes the outbox in one syscall and reports how many frames it
-// carried. The flushed buffer is recycled as the next pending buffer, so a
-// steady-state link reuses two batch buffers forever. A stale generation's
-// flush is a silent no-op: the outbox now belongs to the replacement.
-func (l *peerLink) flush(gen int, conn net.Conn) (n int, stale bool, err error) {
-	l.mu.Lock()
-	if l.gen != gen {
-		l.mu.Unlock()
-		return 0, true, nil
-	}
-	batch, frames := l.pending, l.frames
-	l.pending, l.frames = l.spare[:0], 0
-	l.spare = nil
-	l.mu.Unlock()
-	if frames == 0 {
-		l.recycle(batch)
-		return 0, false, nil
-	}
-	conn.SetWriteDeadline(time.Now().Add(l.m.opts.RoundTimeout))
-	if _, err := conn.Write(batch); err != nil {
-		return 0, false, err
-	}
-	if s := l.m.stats; s != nil {
-		s.Batches.Add(1)
-		s.BatchFrames.Add(int64(frames))
-		s.BatchBytes.Add(int64(len(batch)))
-	}
-	l.recycle(batch)
-	return frames, false, nil
-}
-
-func (l *peerLink) recycle(batch []byte) {
-	l.mu.Lock()
-	if l.spare == nil {
-		l.spare = batch[:0]
-	}
-	l.mu.Unlock()
-}
-
-// readLoop turns one link generation into handler calls. No read deadline:
-// an idle link is healthy (no sessions in flight), and per-session liveness
-// is the engines' round timeout.
-func (m *mux) readLoop(l *peerLink, gen int, br *bufio.Reader) {
-	defer m.wg.Done()
-	var arena transport.ReadArena
-	fail := func(err error) {
-		if !m.closed() {
-			m.linkFailed(l, gen, err)
-		}
-	}
-	for {
-		body, err := transport.ReadFrameArena(br, &arena)
-		if err != nil {
-			fail(fmt.Errorf("session: link %d→%d: %w", l.peer, m.id, err))
-			return
-		}
-		if body[0] != transport.FrameMuxSession {
-			fail(fmt.Errorf("session: link %d→%d: unexpected frame type 0x%02x", l.peer, m.id, body[0]))
-			return
-		}
-		// The wire body is handed over still encoded; the handler routes it
-		// to the owning shard by the peeked session id and the shard's worker
-		// decodes it there, off this link's critical path.
-		if err := m.handler(l.peer, body[1:]); err != nil {
-			fail(fmt.Errorf("session: link %d→%d: %w", l.peer, m.id, err))
-			return
-		}
-	}
-}
-
 func (m *mux) closed() bool {
 	select {
 	case <-m.quit:
@@ -562,47 +368,49 @@ func (m *mux) closed() bool {
 	}
 }
 
-// close tears the mux down gracefully: final flushes are triggered by quit,
-// then the sockets die and every loop exits. Safe to call more than once.
+// close tears the mux down gracefully: every link writes its queue out —
+// decides queued by terminal engines must reach peers mid-assembly, or they
+// hang until their drain deadline — then its goodbye, and only then do the
+// sockets close. The final writes are bounded by the usual write deadline.
+// Safe to call more than once.
 func (m *mux) close() { m.shutdown(false) }
 
-// kill tears the mux down abruptly — sockets first, no final flush — the
-// in-process stand-in for the process dying under kill -9. Peers observe
-// exactly what a crash gives them: connections reset mid-stream.
+// kill tears the mux down abruptly — sockets first, no final flush, no
+// goodbye — the in-process stand-in for the process dying under kill -9.
+// Peers observe exactly what a crash gives them: connections reset
+// mid-stream.
 func (m *mux) kill() { m.shutdown(true) }
 
 func (m *mux) shutdown(abrupt bool) {
 	m.closeOnce.Do(func() {
-		if abrupt {
-			// Sockets die before quit: flushers wake to dead connections and
-			// queued frames are lost, as they would be in a real crash.
-			m.closeConns()
-			close(m.quit)
-		} else {
-			close(m.quit)
-			// Wait for every flusher's final drain before the sockets close
-			// under them: decides queued by terminal engines must hit the wire,
-			// or a peer mid-assembly loses them and hangs until its drain
-			// deadline. The writes are bounded by the usual write deadline, so
-			// this cannot block shutdown indefinitely.
-			m.flushWG.Wait()
-			m.closeConns()
+		close(m.quit)
+		if m.ln != nil {
+			m.ln.Close()
+		}
+		var live []*transport.Link
+		for _, pl := range m.peers {
+			if lk := pl.link.Load(); lk != nil {
+				live = append(live, lk)
+				if abrupt {
+					lk.Kill()
+				} else {
+					lk.Close()
+				}
+			}
+		}
+		for _, lk := range live {
+			<-lk.Done()
+		}
+		// Handshakes still in flight hold the only other sockets.
+		m.mu.Lock()
+		conns := m.conns
+		m.conns = nil
+		m.mu.Unlock()
+		for _, c := range conns {
+			c.Close()
 		}
 	})
 	m.wg.Wait()
-}
-
-func (m *mux) closeConns() {
-	if m.ln != nil {
-		m.ln.Close()
-	}
-	m.mu.Lock()
-	conns := m.conns
-	m.conns = nil
-	m.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
 }
 
 // appendSessionFrame appends one mux session frame — the length-prefixed

@@ -2,10 +2,7 @@ package session
 
 import (
 	"bufio"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
-	"io"
 	"net"
 	"sort"
 	"strconv"
@@ -30,10 +27,6 @@ import (
 //
 // OK reports request-level success (the daemon processed the op); a session
 // that failed or expired still answers OK with the failure in State/Err.
-//
-// The legacy protocol — uvarint(len)-prefixed JSON of Request/Response, the
-// same three ops — is still served when Options.JSONClientAPI is set, and
-// spoken by DialJSONClient.
 
 // maxClientRequest bounds one request frame; specs are tiny, so anything
 // bigger is a confused or hostile client.
@@ -92,29 +85,11 @@ func (d *Daemon) serveClient(conn net.Conn) {
 		case <-connDone:
 		}
 	}()
-	br := bufio.NewReader(conn)
-	if d.opts.JSONClientAPI {
-		d.serveJSONClient(conn, br)
-		return
-	}
-	d.serveBinaryClient(conn, br)
+	d.serveBinaryClient(conn, bufio.NewReader(conn))
 }
 
-func (d *Daemon) serveJSONClient(conn net.Conn, br *bufio.Reader) {
-	for {
-		var req Request
-		if err := readJSON(br, &req); err != nil {
-			return
-		}
-		resp := d.handleRequest(req)
-		if err := writeJSON(conn, resp); err != nil {
-			return
-		}
-	}
-}
-
-// serveBinaryClient is the default request loop: framed wire payloads in
-// both directions. A frame that fails to decode tears the connection down
+// serveBinaryClient is the request loop: framed wire payloads in both
+// directions. A frame that fails to decode tears the connection down
 // (framing is lost); a well-formed frame of the wrong type answers with an
 // error outcome and keeps the connection.
 func (d *Daemon) serveBinaryClient(conn net.Conn, br *bufio.Reader) {
@@ -248,30 +223,4 @@ func outcomeResponse(out Outcome) Response {
 		}
 	}
 	return resp
-}
-
-func writeJSON(w io.Writer, v any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	buf := binary.AppendUvarint(make([]byte, 0, len(body)+4), uint64(len(body)))
-	buf = append(buf, body...)
-	_, err = w.Write(buf)
-	return err
-}
-
-func readJSON(br *bufio.Reader, v any) error {
-	n, err := binary.ReadUvarint(br)
-	if err != nil {
-		return err
-	}
-	if n > maxClientRequest {
-		return fmt.Errorf("session: request of %d bytes exceeds limit", n)
-	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return err
-	}
-	return json.Unmarshal(body, v)
 }

@@ -1,9 +1,11 @@
 package session
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -361,5 +363,59 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		}
 	case <-time.After(30 * time.Second):
 		t.Fatal("wait did not return after drain")
+	}
+}
+
+// TestGracefulRestartIsNotALinkFault: a daemon that shuts down in order
+// says goodbye on every link, so its peers count no link fault — yet they
+// still treat the link as gone and redial the restarted daemon.
+func TestGracefulRestartIsNotALinkFault(t *testing.T) {
+	stats := &metrics.ServeStats{}
+	c := startTestCluster(t, 3, Options{Stats: stats})
+	if err := c.Restart(2); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for stats.LinkRedials.Load() < 2 && time.Now().Before(deadline) {
+		time.Sleep(5 * time.Millisecond)
+	}
+	if n := stats.LinkRedials.Load(); n != 2 {
+		t.Fatalf("%d redials after a graceful restart, want one from each lower-id peer", n)
+	}
+	if n := stats.LinkDowns.Load(); n != 0 {
+		t.Fatalf("a graceful restart counted %d link faults, want 0", n)
+	}
+}
+
+// TestFailedSealTicketIsNotAcked pins the durable-ack contract on the
+// failure path: a decided session whose seal ticket reports a failed sync
+// is never acked as decided — its waiters get a journal failure, and so do
+// later status queries.
+func TestFailedSealTicketIsNotAcked(t *testing.T) {
+	stats := &metrics.ServeStats{}
+	m := &Manager{d: &Daemon{opts: Options{Stats: stats}.withDefaults()},
+		table: make(map[uint64]*session)}
+	ticket := make(chan error, 1)
+	s := &session{sid: 9, state: StateDecided, result: &sim.Result{Rounds: 3}, durable: ticket}
+	m.table[s.sid] = s
+
+	ch, err := m.Wait(s.sid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, _ := m.Status(s.sid); out.State == StateDecided {
+		t.Fatal("status reports decided while the seal is still syncing")
+	}
+	ticket <- errors.New("fdatasync: input/output error")
+	m.deliverOutcome(s, ticket)
+	out := <-ch
+	if out.State != StateFailed || out.Result != nil || !strings.Contains(out.Err, "journal") {
+		t.Fatalf("waiter got %s (%q, result %v), want a journal failure", out.State, out.Err, out.Result)
+	}
+	if later, _ := m.Status(s.sid); later.State != StateFailed || later.Err != out.Err {
+		t.Fatalf("later status = %s (%q), want the same failure", later.State, later.Err)
+	}
+	if d, f := stats.Decided.Load(), stats.Failed.Load(); d != 0 || f != 1 {
+		t.Fatalf("counters decided=%d failed=%d, want 0 and 1", d, f)
 	}
 }

@@ -26,6 +26,7 @@ import (
 //	msg:    uvarint(round) | u32(to) | wire body
 //	mirror: uvarint(round) | u32(real recipient) | wire body
 //	eor:    uvarint(round) | flags(1)        (bit 0: sender's machine is done)
+//	goodbye: no fields; the last frame of a Link closed in order (link.go)
 //
 // The hello emulates the model's authenticated links: a connection speaks
 // for exactly one ordered pair (from, to) within one session, and the
@@ -65,6 +66,12 @@ const (
 	// a decided party's announcement must not queue behind delayed protocol
 	// backlog that its already-decided peers will discard anyway.
 	frameAsyncDone byte = 0x08
+
+	// frameGoodbye is a Link's last frame before an orderly FIN: the sender
+	// flushed everything it meant to send. It has no body beyond its tag, and
+	// it is a control frame for FrameInfo, so chaos latency never holds a
+	// shutdown back.
+	frameGoodbye byte = 0x09
 
 	// transportVersion is independent of wire.Version: framing and payload
 	// codec can evolve separately. Version 2 added the hello flags byte and
@@ -335,7 +342,7 @@ func parseFrame(body []byte) (frame, error) {
 
 // FrameInfo peeks at an encoded frame buffer as the transport hands it to
 // conn.Write: the round it belongs to, and whether it is a control frame
-// (hello / hello-ack / async-done / session open-abort-decide) that
+// (hello / hello-ack / async-done / goodbye / session open-abort-decide) that
 // carries no round. It exists for the chaos injector, which wraps
 // connections at the net.Conn boundary and keys its fault windows on rounds
 // without re-implementing the framing.
@@ -353,7 +360,7 @@ func FrameInfo(b []byte) (round int, control bool, ok bool) {
 	}
 	body := rest[:n]
 	switch body[0] {
-	case frameHello, frameHelloAck, FrameMuxHello, frameAsyncDone:
+	case frameHello, frameHelloAck, FrameMuxHello, frameAsyncDone, frameGoodbye:
 		return 0, true, true
 	case frameMsg, frameMirror, frameEOR:
 		r, _, err := consumeRound(body[1:])

@@ -40,6 +40,7 @@ func TestFrameInfoClassifiesFrames(t *testing.T) {
 		{"mirror", encodeMsg(frameMirror, 6, 0, body), 6, false},
 		{"eor", encodeEOR(9, true), 9, false},
 		{"muxHello", AppendFrame(nil, []byte{FrameMuxHello, 'T', 'A', 'A', 'S'}), 0, true},
+		{"goodbye", goodbyeFrame, 0, true},
 		{"sessionMsg", muxFrame(t, wire.SessionMsg{SID: 1<<48 | 9, Round: 4, Payload: payload}), 4, false},
 		{"sessionEOR", muxFrame(t, wire.SessionEOR{SID: 3, Round: 7, Done: true}), 7, false},
 		{"sessionOpen", muxFrame(t, wire.SessionOpen{SID: 3, Tree: "path:8", TTLMillis: 500}), 0, true},

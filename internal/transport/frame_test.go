@@ -123,6 +123,17 @@ func TestEORFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestGoodbyeFrameBytes pins the goodbye on the wire: a one-byte body,
+// the goodbye tag 0x09, behind its length prefix.
+func TestGoodbyeFrameBytes(t *testing.T) {
+	if want := []byte{0x01, 0x09}; !bytes.Equal(goodbyeFrame, want) {
+		t.Fatalf("goodbye frame = %x, want %x", goodbyeFrame, want)
+	}
+	if body := readOne(t, goodbyeFrame); !bytes.Equal(body, []byte{frameGoodbye}) {
+		t.Fatalf("goodbye body = %x, want %02x", body, frameGoodbye)
+	}
+}
+
 func TestParseFrameRejections(t *testing.T) {
 	body, err := wire.Encode(gradecast.SendMsg{Tag: "t", Iter: 1, Val: 2})
 	if err != nil {
